@@ -65,16 +65,25 @@ quantity: the absolute >= 1.8x floor is enforced by perf_sim itself when the
 machine has enough hardware threads, and this script only flags a speedup
 collapse relative to the baseline (obeying --no-timing).
 
+perf_sim writes its record even when one of its own gates failed, and lists
+each failure under "gate_failures" with its name, measured value, bound and
+kind. A "deterministic" failure (fingerprint identity, batching ratios,
+attribution samples) always fails the diff, --no-timing or not; a "timing"
+failure (the realtime speedup floor) is printed and obeys --no-timing.
+Records without the key (written before perf_sim kept failed runs) passed all
+their gates.
+
 --no-timing disables the timing gates (events/sec, suite wall-clock, trace
-overhead, realtime speedup) and keeps only the deterministic ones —
-fingerprints and allocations. This is the mode the ctest allocation-budget check runs in,
-where machine load must not flake the suite.
+overhead, realtime speedup, timing gate failures) and keeps only the
+deterministic ones — fingerprints and allocations. This is the mode the ctest
+allocation-budget check runs in, where machine load must not flake the suite.
 
 Exit status: 0 = no regression, 1 = events/sec regression beyond the
 threshold (default 5%), a determinism-fingerprint mismatch, an allocs/event
 regression beyond 10% (without --ignore-allocs), a peak-RSS growth beyond
-10% (without --ignore-rss), or (without --ignore-wallclock) a suite
-wall-clock regression; 2 = usage or parse error.
+10% (without --ignore-rss), a failed gate recorded by the candidate's own
+run, or (without --ignore-wallclock) a suite wall-clock regression; 2 = usage
+or parse error.
 Fingerprints and allocation rates are only required to match when both runs
 were made at the same scale (smoke vs full).
 """
@@ -359,6 +368,24 @@ def compare_realtime(base_rt, cand_rt, threshold_pct, no_timing):
     return False
 
 
+def compare_gate_failures(failures, no_timing):
+    """Report the candidate's own failed gates; returns True if one gates.
+
+    A "timing" failure is demoted by --no-timing; any other kind gates always.
+    """
+    regressed = False
+    for gate in failures or []:
+        kind = gate.get("kind", "?")
+        text = (f"{'gate':<12} {gate.get('name', '?')} {gate.get('value')} "
+                f"(need {gate.get('op', '?')} {gate.get('bound')}, {kind}) FAILED")
+        if kind == "timing" and no_timing:
+            print(f"{text} (ignored by --no-timing)")
+        else:
+            print(f"{text} << GATE FAILURE")
+            regressed = True
+    return regressed
+
+
 def main(argv):
     threshold = 5.0
     ignore_wallclock = False
@@ -410,6 +437,7 @@ def main(argv):
         cand_attr = doc.get("attribution_overhead")
         base_rt = doc.get("baseline", {}).get("realtime_scaling")
         cand_rt = doc.get("realtime_scaling")
+        cand_failures = doc.get("gate_failures")
     elif len(args) == 2:
         base_doc = load(args[0])
         cand_doc = load(args[1])
@@ -425,6 +453,7 @@ def main(argv):
         cand_attr = cand_doc.get("attribution_overhead")
         base_rt = base_doc.get("realtime_scaling")
         cand_rt = cand_doc.get("realtime_scaling")
+        cand_failures = cand_doc.get("gate_failures")
     else:
         print(__doc__, file=sys.stderr)
         return 2
@@ -436,10 +465,11 @@ def main(argv):
     regressed |= compare_trace(base_trace, cand_trace, same_scale, no_timing)
     regressed |= compare_attribution(base_attr, cand_attr, same_scale, no_timing)
     regressed |= compare_realtime(base_rt, cand_rt, threshold, no_timing)
+    regressed |= compare_gate_failures(cand_failures, no_timing)
     if regressed:
         print(f"\nFAIL: regression beyond {threshold:.1f}% (allocs: "
-              f"{ALLOC_THRESHOLD_PCT:.0f}%, rss: {RSS_THRESHOLD_PCT:.0f}%) "
-              f"or fingerprint mismatch")
+              f"{ALLOC_THRESHOLD_PCT:.0f}%, rss: {RSS_THRESHOLD_PCT:.0f}%), "
+              f"fingerprint mismatch or failed gate")
         return 1
     print(f"\nOK: no regression (events/sec threshold {threshold:.1f}%, "
           f"allocs {ALLOC_THRESHOLD_PCT:.0f}%, rss {RSS_THRESHOLD_PCT:.0f}%)")

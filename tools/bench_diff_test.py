@@ -9,7 +9,9 @@ import sys
 import tempfile
 import unittest
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_DIR = os.path.dirname(TOOLS_DIR)
+sys.path.insert(0, TOOLS_DIR)
 import bench_diff  # noqa: E402
 
 
@@ -74,10 +76,30 @@ def attribution(overhead_pct=3.0, fingerprints=True):
     }
 
 
+def realtime(speedup=1.1, enforced=True):
+    return {
+        "hardware_concurrency": 4,
+        "speedup_4x": speedup,
+        "gate_enforced": enforced,
+        "gate_reason": "enforced",
+        "legs": [{"workers": 1, "ops_per_sec": 300000.0},
+                 {"workers": 4, "ops_per_sec": 300000.0 * speedup}],
+    }
+
+
+def gate_failure(name, kind, value, op, bound):
+    return {"name": name, "kind": kind, "value": value, "op": op,
+            "bound": bound}
+
+
 def doc(workloads, smoke=False, suite_section=None, trace_section=None,
-        attribution_section=None):
+        attribution_section=None, realtime_section=None, gate_failures=None):
     d = {"harness": "perf_sim", "version": 1, "smoke": smoke,
          "repeat": 1, "workloads": workloads}
+    if gate_failures is not None:
+        d["gate_failures"] = gate_failures
+    if realtime_section is not None:
+        d["realtime_scaling"] = realtime_section
     if suite_section is not None:
         d["suite_wall_clock"] = suite_section
     if trace_section is not None:
@@ -495,6 +517,74 @@ class BenchDiffTest(unittest.TestCase):
                               attribution_section=attribution()))
         code, _ = self.run_diff(base, cand)
         self.assertEqual(code, 0)
+
+    def test_timing_gate_failure_alone_passes_no_timing(self):
+        # A run whose only failed gate is the realtime speedup floor, with
+        # fingerprints and allocations in budget: the deterministic check
+        # passes, and the timing failure still shows.
+        base = self.write(doc([workload("fig5_full", allocs_per_event=0.01)]))
+        cand = self.write(doc(
+            [workload("fig5_full", allocs_per_event=0.01)],
+            realtime_section=realtime(speedup=1.12),
+            gate_failures=[gate_failure("realtime_speedup_4x", "timing",
+                                        1.12, ">=", 1.8)]))
+        code, out = self.run_diff(base, cand, "--no-timing")
+        self.assertEqual(code, 0)
+        self.assertIn("realtime_speedup_4x", out)
+        self.assertIn("ignored by --no-timing", out)
+        code, out = self.run_diff(base, cand)
+        self.assertEqual(code, 1)
+        self.assertIn("GATE FAILURE", out)
+
+    def test_deterministic_gate_failure_always_gates(self):
+        base = self.write(doc([workload("fig5_full", allocs_per_event=0.01)]))
+        for name, op, value, bound in (
+                ("trace_fingerprint", "==", 400001, 400000),
+                ("batch_metadata_wire_ratio", ">=", 1.1, 1.3),
+                ("attribution_samples", ">=", 0, 1)):
+            cand = self.write(doc(
+                [workload("fig5_full", allocs_per_event=0.01)],
+                gate_failures=[gate_failure(name, "deterministic", value, op,
+                                            bound)]))
+            for flags in ((), ("--no-timing",)):
+                code, out = self.run_diff(base, cand, *flags)
+                self.assertEqual(code, 1, (name, flags))
+                self.assertIn(name, out)
+                self.assertIn("GATE FAILURE", out)
+
+    def test_gate_failure_of_unknown_kind_gates(self):
+        base = self.write(doc([workload("fig5_full")]))
+        cand = self.write(doc([workload("fig5_full")], gate_failures=[
+            gate_failure("new_gate", "future", 1, "<=", 0)]))
+        code, _ = self.run_diff(base, cand, "--no-timing")
+        self.assertEqual(code, 1)
+
+    def test_gate_failures_gate_in_self_mode(self):
+        d = doc([workload("fig5_full")], gate_failures=[
+            gate_failure("suite_fingerprints_differing_runs", "deterministic",
+                         2, "==", 0)])
+        d["baseline"] = {"smoke": False, "workloads": [workload("fig5_full")]}
+        code, out = self.run_diff(self.write(d), "--no-timing")
+        self.assertEqual(code, 1)
+        self.assertIn("GATE FAILURE", out)
+
+    def test_records_without_gate_failures_compare_as_before(self):
+        # A record with no failed gate reads the same as one written before
+        # the key existed.
+        base = self.write(doc([workload("fig5_full")]))
+        empty = self.write(doc([workload("fig5_full")], gate_failures=[]))
+        absent = self.write(doc([workload("fig5_full")]))
+        self.assertEqual(self.run_diff(base, empty), self.run_diff(base, absent))
+        # The committed baselines predate the key and still pass against
+        # themselves.
+        smoke = os.path.join(REPO_DIR, "bench", "BENCH_smoke_baseline.json")
+        code, out = self.run_diff(smoke, smoke, "--no-timing")
+        self.assertEqual(code, 0)
+        self.assertNotIn("GATE FAILURE", out)
+        code, out = self.run_diff(os.path.join(REPO_DIR, "BENCH_sim.json"),
+                                  "--no-timing")
+        self.assertEqual(code, 0)
+        self.assertNotIn("GATE FAILURE", out)
 
     def test_threshold_tolerates_small_wallclock_noise(self):
         base = self.write(doc([workload("fig5_full")],
