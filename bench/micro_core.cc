@@ -2,12 +2,18 @@
 //
 // Not a paper figure: these quantify the per-operation costs of the library's
 // building blocks — label comparison, versioned-store access, event-queue
-// scheduling, histogram recording, serializer routing — so regressions in the
-// substrate are visible independently of the protocol-level experiments.
+// scheduling, histogram recording, serializer routing, causality-oracle
+// checks — so regressions in the substrate are visible independently of the
+// protocol-level experiments.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "src/common/dc_set.h"
 #include "src/core/label.h"
+#include "src/core/oracle.h"
 #include "src/kvstore/partitioned_store.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
@@ -123,6 +129,86 @@ void BM_ZipfSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZipfSample);
+
+// Causality oracle at the faults workload's shape: 5 datacenters, 80 clients,
+// keys on 2 of them.
+constexpr uint32_t kOracleDcs = 5;
+constexpr DcSet kOracleReplicas{0b00011};
+
+// `count` updates issued round-robin by clients 1..clients-1 with no reads,
+// so each update's deps hold only its writer's own seq.
+std::vector<uint64_t> IssueRoundRobin(CausalityOracle& oracle, uint32_t clients, size_t count) {
+  std::vector<uint64_t> uids;
+  for (size_t i = 0; i < count; ++i) {
+    uids.push_back(i + 1);
+    oracle.OnClientUpdate(1 + i % (clients - 1), uids.back(), kOracleReplicas);
+  }
+  return uids;
+}
+
+// A read of an update already in the reader's past: the skipped merge.
+void BM_OracleReadKnown(benchmark::State& state) {
+  CausalityOracle oracle(kOracleDcs, 80);
+  std::vector<uint64_t> uids = IssueRoundRobin(oracle, 80, 79);
+  for (uint64_t uid : uids) {
+    oracle.OnClientRead(0, uid);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    oracle.OnClientRead(0, uids[i]);
+    benchmark::ClobberMemory();
+    i = i + 1 == uids.size() ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_OracleReadKnown);
+
+// A read of an update not yet in the reader's past: a full 80-entry merge.
+void BM_OracleReadNew(benchmark::State& state) {
+  constexpr size_t kUpdates = 79 * 256;
+  std::unique_ptr<CausalityOracle> oracle;
+  std::vector<uint64_t> uids;
+  size_t i = kUpdates;
+  for (auto _ : state) {
+    if (i == kUpdates) {
+      state.PauseTiming();
+      oracle = std::make_unique<CausalityOracle>(kOracleDcs, 80);
+      uids = IssueRoundRobin(*oracle, 80, kUpdates);
+      i = 0;
+      state.ResumeTiming();
+    }
+    oracle->OnClientRead(0, uids[i++]);  // writer's next seq: always new
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_OracleReadNew);
+
+// Clean applies in issue order at every datacenter of a history where each
+// update read its predecessor, so every deps row is dense.
+void BM_OracleApply(benchmark::State& state) {
+  const auto clients = static_cast<uint32_t>(state.range(0));
+  const size_t updates = std::max<size_t>(256, (size_t{1} << 21) / clients);
+  std::unique_ptr<CausalityOracle> oracle;
+  size_t applied = updates * kOracleDcs;
+  for (auto _ : state) {
+    if (applied == updates * kOracleDcs) {
+      state.PauseTiming();
+      oracle = std::make_unique<CausalityOracle>(kOracleDcs, clients);
+      for (size_t u = 0; u < updates; ++u) {
+        ClientId writer = u % clients;
+        if (u > 0) {
+          oracle->OnClientRead(writer, u);
+        }
+        oracle->OnClientUpdate(writer, u + 1, DcSet::FirstN(kOracleDcs));
+      }
+      applied = 0;
+      state.ResumeTiming();
+    }
+    DcId dc = static_cast<DcId>(applied / updates);
+    benchmark::DoNotOptimize(oracle->OnApply(dc, applied % updates + 1));
+    ++applied;
+  }
+}
+BENCHMARK(BM_OracleApply)->Arg(80)->Arg(1000);
 
 }  // namespace
 }  // namespace saturn

@@ -8,11 +8,42 @@
 // to fail under concurrency).
 //
 // Mechanics: every client carries a version vector indexed by client id; an
-// update's causal past is the issuing client's vector at issue time. Because
-// causally consistent application implies each client's updates are applied in
-// session order at every interested datacenter, the check at "apply u at DC r"
-// reduces to a per-(r, client) applied-prefix pointer comparison, which keeps
-// the oracle O(#clients) per apply.
+// update's causal past (`deps`) is the issuing client's vector at issue time.
+// Because causally consistent application implies each client's updates are
+// applied in session order at every interested datacenter, the check at
+// "apply u at DC r" reduces to one comparison per client d: how many of d's
+// updates in u's past are replicated at r, against how many of d's updates
+// r has applied.
+//
+// Cost per call (C clients, D datacenters):
+//   OnClientUpdate  O(C + D): snapshot the vector, append one rank row.
+//   OnClientRead    O(1) when the read update is already in the reader's
+//                   past, O(C) merge otherwise.
+//   OnApply         O(C) array lookups, no searches; O(log updates) extra
+//                   only on a session-order violation, to name the expected
+//                   seq.
+//   OnAttach        O(C) array lookups.
+// Memory is O(C) per update (its deps row) plus O(C^2 + C * D): the client
+// vectors and applied prefixes. That quadratic term is why million-session
+// runs go without the oracle.
+//
+// Read skip. Write deps(w, k) for the deps of client w's k-th update and
+// vec_c for client c's vector. Invariant: for every client c and writer w,
+// vec_c >= deps(w, vec_c[w]) pointwise (deps(w, 0) = 0). An update by c sets
+// vec_c[c] = k and snapshots deps(c, k) = vec_c, so it holds for c's own
+// entry and only grows vec_c elsewhere. A read merge vec_c' = max(vec_c, d)
+// with d = deps(w', k') keeps it: an entry taken from vec_c was covered
+// already, and an entry taken from d is covered by d, which satisfied the
+// invariant as w''s vector when it was snapshot. Since deps(w, .) is
+// monotone in k, a read of w's update k with vec_c[w] >= k has
+// deps(w, k) <= deps(w, vec_c[w]) <= vec_c, so the merge cannot change vec_c
+// and is skipped.
+//
+// Rank table. ranks_[c] holds one row of D counts per prefix of c's session:
+// row k, column r = how many of c's first k updates are replicated at r.
+// Rows are appended once per update and never change, so "how many of d's
+// first n updates are replicated at r" is one lookup, and the per-(r, d)
+// applied count is cached beside the applied prefix it derives from.
 #ifndef SRC_CORE_ORACLE_H_
 #define SRC_CORE_ORACLE_H_
 
@@ -21,11 +52,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/dc_set.h"
+#include "src/common/flat_map.h"
 #include "src/common/types.h"
 
 namespace saturn {
@@ -35,10 +66,11 @@ class CausalityOracle {
   CausalityOracle(uint32_t num_dcs, uint32_t num_clients)
       : num_dcs_(num_dcs),
         num_clients_(num_clients),
+        deps_rows_per_block_(std::max<uint32_t>(1, kDepsBlockWords / std::max(num_clients, 1u))),
         client_vectors_(num_clients, std::vector<uint32_t>(num_clients, 0)),
         client_updates_(num_clients),
-        replicated_seqs_(static_cast<size_t>(num_clients) * num_dcs),
-        prefix_(num_dcs, std::vector<uint32_t>(num_clients, 0)) {}
+        ranks_(num_clients, std::vector<uint32_t>(num_dcs, 0)),
+        applied_(num_dcs, std::vector<AppliedPrefix>(num_clients)) {}
 
   // Realtime backend: clients and datacenters call in from concurrent lanes.
   // Off (the default), every call stays lock-free.
@@ -47,21 +79,18 @@ class CausalityOracle {
   // --- Recording the ground truth --------------------------------------
 
   // Client `c` issued update `uid` on a key replicated at `replicas`.
-  // Returns the update's session index.
   void OnClientUpdate(ClientId c, uint64_t uid, DcSet replicas) {
     SAT_CHECK(c < num_clients_);
     auto lock = Guard();
     uint32_t seq = static_cast<uint32_t>(client_updates_[c].size()) + 1;
     client_vectors_[c][c] = seq;
-    UpdateInfo info;
-    info.uid = uid;
-    info.replicas = replicas;
-    info.deps = client_vectors_[c];
-    client_updates_[c].push_back(info);
-    for (DcId dc : replicas) {
-      if (dc < num_dcs_) {
-        SeqList(c, dc).push_back(seq);
-      }
+    client_updates_[c].push_back({uid, replicas, DcSet(), StoreDeps(client_vectors_[c])});
+    auto& ranks = ranks_[c];
+    ranks.resize(ranks.size() + num_dcs_);
+    uint32_t* row = ranks.data() + static_cast<size_t>(seq) * num_dcs_;
+    const uint32_t* prev = row - num_dcs_;
+    for (DcId dc = 0; dc < num_dcs_; ++dc) {
+      row[dc] = prev[dc] + (replicas.Contains(dc) ? 1 : 0);
     }
     by_uid_[uid] = {static_cast<uint32_t>(c), seq};
   }
@@ -73,15 +102,16 @@ class CausalityOracle {
       return;
     }
     auto lock = Guard();
-    auto it = by_uid_.find(uid);
-    SAT_CHECK_MSG(it != by_uid_.end(), "read of unknown update uid=%llu",
+    const UpdateRef* ref = by_uid_.Find(uid);
+    SAT_CHECK_MSG(ref != nullptr, "read of unknown update uid=%llu",
                   static_cast<unsigned long long>(uid));
-    const UpdateInfo& u = client_updates_[it->second.client][it->second.seq - 1];
     auto& vec = client_vectors_[c];
+    if (vec[ref->client] >= ref->seq) {
+      return;  // already in c's past: the merge is a no-op (header comment)
+    }
+    const uint32_t* deps = client_updates_[ref->client][ref->seq - 1].deps;
     for (uint32_t d = 0; d < num_clients_; ++d) {
-      if (u.deps[d] > vec[d]) {
-        vec[d] = u.deps[d];
-      }
+      vec[d] = std::max(vec[d], deps[d]);
     }
   }
 
@@ -92,22 +122,25 @@ class CausalityOracle {
   bool OnApply(DcId dc, uint64_t uid) {
     SAT_CHECK(dc < num_dcs_);
     auto lock = Guard();
-    auto it = by_uid_.find(uid);
-    SAT_CHECK(it != by_uid_.end());
-    applied_at_[uid].Add(dc);
-    uint32_t writer = it->second.client;
-    uint32_t seq = it->second.seq;
-    const UpdateInfo& u = client_updates_[writer][seq - 1];
+    const UpdateRef* ref = by_uid_.Find(uid);
+    SAT_CHECK(ref != nullptr);
+    uint32_t writer = ref->client;
+    uint32_t seq = ref->seq;
+    UpdateInfo& u = client_updates_[writer][seq - 1];
+    u.applied_at.Add(dc);
 
     bool ok = true;
+    std::vector<AppliedPrefix>& applied = applied_[dc];
     for (uint32_t d = 0; d < num_clients_; ++d) {
       // Everything in u's causal past from client d that this DC replicates
-      // must already be applied here. Exclude u itself.
-      uint32_t need = u.deps[d];
-      if (d == writer) {
-        need = seq - 1;
+      // must already be applied here. Exclude u itself. A past no longer
+      // than the applied prefix cannot replicate more of d's updates.
+      uint32_t need = d == writer ? seq - 1 : u.deps[d];
+      if (need <= applied[d].seq) {
+        continue;
       }
-      if (CountReplicatedPrefix(d, need, dc) > AppliedReplicatedCount(dc, d)) {
+      uint32_t needed = Rank(d, need, dc);
+      if (needed > applied[d].count) {
         ok = false;
         ViolationRecord v;
         v.kind = ViolationRecord::Kind::kCausalDep;
@@ -116,19 +149,23 @@ class CausalityOracle {
         v.writer = writer;
         v.seq = seq;
         v.dep_client = d;
-        v.needed = CountReplicatedPrefix(d, need, dc);
+        v.needed = needed;
         v.dep_seq = need;
-        v.applied = AppliedReplicatedCount(dc, d);
-        v.prefix_seq = prefix_[dc][d];
+        v.applied = applied[d].count;
+        v.prefix_seq = applied[d].seq;
         violations_.push_back(v);
         break;
       }
     }
     // Advance this DC's applied-prefix pointer for the writer. Applications
-    // out of session order are themselves violations.
-    uint32_t& applied = prefix_[dc][writer];
-    uint32_t expected = NextReplicatedSeq(writer, applied, dc);
-    if (expected != seq) {
+    // out of session order are themselves violations (and still move the
+    // pointer, backwards included).
+    AppliedPrefix& mine = applied[writer];
+    // In order iff seq is the first dc-replicated update past the prefix
+    // (ranks are monotone, so this also implies seq > mine.seq).
+    bool in_order = Rank(writer, seq - 1, dc) == mine.count &&
+                    Rank(writer, seq, dc) == mine.count + 1;
+    if (!in_order) {
       ok = false;
       ViolationRecord v;
       v.kind = ViolationRecord::Kind::kSessionOrder;
@@ -136,10 +173,10 @@ class CausalityOracle {
       v.uid = uid;
       v.writer = writer;
       v.seq = seq;
-      v.dep_seq = expected;
+      v.dep_seq = NextReplicatedSeq(writer, mine.seq, dc);
       violations_.push_back(v);
     }
-    applied = seq;
+    mine = {seq, Rank(writer, seq, dc)};
     return ok;
   }
 
@@ -149,17 +186,22 @@ class CausalityOracle {
     SAT_CHECK(dc < num_dcs_ && c < num_clients_);
     auto lock = Guard();
     const auto& vec = client_vectors_[c];
+    const std::vector<AppliedPrefix>& applied = applied_[dc];
     for (uint32_t d = 0; d < num_clients_; ++d) {
-      if (CountReplicatedPrefix(d, vec[d], dc) > AppliedReplicatedCount(dc, d)) {
+      if (vec[d] <= applied[d].seq) {
+        continue;
+      }
+      uint32_t needed = Rank(d, vec[d], dc);
+      if (needed > applied[d].count) {
         ViolationRecord v;
         v.kind = ViolationRecord::Kind::kAttachDep;
         v.dc = dc;
         v.writer = static_cast<uint32_t>(c);
         v.dep_client = d;
-        v.needed = CountReplicatedPrefix(d, vec[d], dc);
+        v.needed = needed;
         v.dep_seq = vec[d];
-        v.applied = AppliedReplicatedCount(dc, d);
-        v.prefix_seq = prefix_[dc][d];
+        v.applied = applied[d].count;
+        v.prefix_seq = applied[d].seq;
         violations_.push_back(v);
         return false;
       }
@@ -189,14 +231,13 @@ class CausalityOracle {
     std::vector<std::string> missing;
     for (uint32_t c = 0; c < num_clients_; ++c) {
       for (const UpdateInfo& u : client_updates_[c]) {
-        auto it = applied_at_.find(u.uid);
-        if (it == applied_at_.end()) {
+        if (u.applied_at.Empty()) {
           continue;  // never committed anywhere (request lost pre-commit)
         }
         DcSet want = u.replicas.Intersect(DcSet::FirstN(num_dcs_));
-        if (it->second.Intersect(want) != want) {
+        if (u.applied_at.Intersect(want) != want) {
           missing.push_back("uid " + std::to_string(u.uid) + " (client " + std::to_string(c) +
-                            ") applied at " + it->second.ToString() + ", replicas " +
+                            ") applied at " + u.applied_at.ToString() + ", replicas " +
                             want.ToString());
         }
       }
@@ -205,6 +246,9 @@ class CausalityOracle {
   }
 
  private:
+  // Deps rows are stored in blocks of about this many words.
+  static constexpr uint32_t kDepsBlockWords = 16384;
+
   std::unique_lock<std::mutex> Guard() const {
     if (mu_ == nullptr) {
       return {};
@@ -215,11 +259,19 @@ class CausalityOracle {
   struct UpdateInfo {
     uint64_t uid = 0;
     DcSet replicas;
-    std::vector<uint32_t> deps;  // writer-client vector at issue time
+    DcSet applied_at;               // datacenters that applied it
+    const uint32_t* deps = nullptr;  // writer-client vector at issue time
   };
   struct UpdateRef {
     uint32_t client = 0;
     uint32_t seq = 0;  // 1-based index into client_updates_[client]
+  };
+  // A datacenter's applied session prefix of one client, with the number of
+  // that prefix's updates replicated at the datacenter. Assigned only as a
+  // pair, so the count always equals Rank(client, seq, dc).
+  struct AppliedPrefix {
+    uint32_t seq = 0;
+    uint32_t count = 0;
   };
 
   // Everything needed to render a violation message, captured as plain
@@ -262,40 +314,57 @@ class CausalityOracle {
     return "";
   }
 
-  // Session seqs of client c's updates replicated at dc, in ascending order.
-  std::vector<uint32_t>& SeqList(uint32_t c, DcId dc) {
-    return replicated_seqs_[static_cast<size_t>(c) * num_dcs_ + dc];
-  }
-  const std::vector<uint32_t>& SeqList(uint32_t c, DcId dc) const {
-    return replicated_seqs_[static_cast<size_t>(c) * num_dcs_ + dc];
+  // Copies `vec` into the deps arena. Blocks hold whole rows and are never
+  // reallocated, so the returned row stays put for the oracle's lifetime and
+  // growth never copies earlier rows.
+  const uint32_t* StoreDeps(const std::vector<uint32_t>& vec) {
+    if (deps_rows_left_ == 0) {
+      deps_blocks_.push_back(
+          std::make_unique_for_overwrite<uint32_t[]>(size_t{deps_rows_per_block_} * num_clients_));
+      deps_rows_left_ = deps_rows_per_block_;
+    }
+    uint32_t* row = deps_blocks_.back().get() +
+                    size_t{deps_rows_per_block_ - deps_rows_left_} * num_clients_;
+    --deps_rows_left_;
+    std::copy(vec.begin(), vec.end(), row);
+    return row;
   }
 
   // How many of client d's first `upto` updates are replicated at `dc`.
-  uint32_t CountReplicatedPrefix(uint32_t d, uint32_t upto, DcId dc) const {
-    const auto& seqs = SeqList(d, dc);
-    return static_cast<uint32_t>(std::upper_bound(seqs.begin(), seqs.end(), upto) -
-                                 seqs.begin());
+  uint32_t Rank(uint32_t d, uint32_t upto, DcId dc) const {
+    return ranks_[d][static_cast<size_t>(upto) * num_dcs_ + dc];
   }
 
-  uint32_t AppliedReplicatedCount(DcId dc, uint32_t d) const {
-    return CountReplicatedPrefix(d, prefix_[dc][d], dc);
-  }
-
-  // The session seq of client d's next dc-replicated update after `applied`.
+  // The session seq of client d's next dc-replicated update after `applied`
+  // (0 if none): the first row whose rank exceeds row `applied`'s.
   uint32_t NextReplicatedSeq(uint32_t d, uint32_t applied, DcId dc) const {
-    const auto& seqs = SeqList(d, dc);
-    auto it = std::upper_bound(seqs.begin(), seqs.end(), applied);
-    return it == seqs.end() ? 0 : *it;
+    uint32_t base = Rank(d, applied, dc);
+    uint32_t lo = applied;
+    uint32_t hi = static_cast<uint32_t>(client_updates_[d].size());
+    if (lo >= hi || Rank(d, hi, dc) == base) {
+      return 0;
+    }
+    while (hi - lo > 1) {  // Rank(lo) == base < Rank(hi)
+      uint32_t mid = lo + (hi - lo) / 2;
+      if (Rank(d, mid, dc) == base) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    return hi;
   }
 
   uint32_t num_dcs_;
   uint32_t num_clients_;
-  std::vector<std::vector<uint32_t>> client_vectors_;   // [client][client]
-  std::vector<std::vector<UpdateInfo>> client_updates_; // [client] -> session order
-  std::vector<std::vector<uint32_t>> replicated_seqs_;  // [client * num_dcs + dc]
-  std::vector<std::vector<uint32_t>> prefix_;           // [dc][client] applied session prefix
-  std::unordered_map<uint64_t, UpdateRef> by_uid_;
-  std::unordered_map<uint64_t, DcSet> applied_at_;
+  uint32_t deps_rows_per_block_;
+  uint32_t deps_rows_left_ = 0;
+  std::vector<std::unique_ptr<uint32_t[]>> deps_blocks_;  // deps arena
+  std::vector<std::vector<uint32_t>> client_vectors_;     // [client][client]
+  std::vector<std::vector<UpdateInfo>> client_updates_;   // [client] -> session order
+  std::vector<std::vector<uint32_t>> ranks_;  // [client][seq * num_dcs + dc], rank table
+  std::vector<std::vector<AppliedPrefix>> applied_;  // [dc][client]
+  FlatMap<uint64_t, UpdateRef> by_uid_;
   std::vector<ViolationRecord> violations_;
   mutable std::vector<std::string> formatted_;  // rendered lazily by violations()
   std::unique_ptr<std::mutex> mu_;  // null unless EnableLocking

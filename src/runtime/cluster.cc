@@ -211,7 +211,7 @@ Cluster::Cluster(ClusterConfig config, ReplicaMap replicas, std::vector<DcId> cl
     TreeTopology compact_tree;
     std::vector<double> pair_weights =
         config_.weighted_tree ? replicas_.PairWeights() : std::vector<double>();
-    if (initial_active_.Size() < n) {
+    if (static_cast<uint32_t>(initial_active_.Size()) < n) {
       // Deferred datacenters are not in the initial tree: solve over the
       // active subset only. Only the generated kind makes sense here — a star
       // or custom tree would name leaves that are not active.

@@ -11,10 +11,10 @@ SaturnDc::SaturnDc(Simulator* sim, Network* net, const DatacenterConfig& config,
       links_(sim, net, this,
              [this](NodeId from, const LabelEnvelope& env) { OnStreamEnvelope(from, env); }),
       stream_progress_(num_dcs, -1),
+      bulk_gear_ts_(static_cast<size_t>(num_dcs) * config.num_gears, -1),
       active_(DcSet::FirstN(num_dcs)),
       next_active_(DcSet::FirstN(num_dcs)),
       stability_origins_(DcSet::FirstN(num_dcs)),
-      bulk_gear_ts_(static_cast<size_t>(num_dcs) * config.num_gears, -1),
       sharded_gear_floor_(config.sharded_gears ? config.num_gears : 0, -1) {
   links_.ConfigureBatching(
       {config.batch_max_labels, config.batch_max_bytes, config.batch_deadline});

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command CI: configure, build and test the three trees this repo gates on.
 #
-#   native  build/        plain build, full ctest suite
+#   native  build/        plain build, full ctest suite; then the `saturn`
+#                         library alone in a throwaway -Werror tree
 #   asan    build-asan/   AddressSanitizer + UBSan, full ctest suite
 #   tsan    build-tsan/   ThreadSanitizer, the `tsan_smoke` ctest label
 #                         (concurrent sweep isolation + the realtime backend;
@@ -59,6 +60,13 @@ for tree in ${TREES//,/ }; do
         --arrival-rate=2000 --arrival-plan="1200:burst:*:4:300" \
         --zipf-sessions=0.9 --warmup=1 --seconds=1 > /dev/null
       telemetry_smoke native build
+      echo "=== [native] saturn library builds warning-free (-Werror) ==="
+      # A throwaway tree so build/ keeps its flags: any new warning in the
+      # program's library fails CI here.
+      werror_dir="$(mktemp -d)"
+      trap 'rm -rf "${werror_dir}"' EXIT
+      cmake -B "${werror_dir}" -S . -DCMAKE_CXX_FLAGS=-Werror > /dev/null
+      cmake --build "${werror_dir}" --target saturn -j "${JOBS}"
       ;;
     asan)
       build_tree asan build-asan -DSATURN_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
