@@ -3,7 +3,7 @@
 // Not a paper figure: these quantify the per-operation costs of the library's
 // building blocks — label comparison, versioned-store access, event-queue
 // scheduling, histogram recording, serializer routing, causality-oracle
-// checks — so regressions in the substrate are visible independently of the
+// checks, reliable-channel maintenance ticks — so regressions in the substrate are visible independently of the
 // protocol-level experiments.
 #include <benchmark/benchmark.h>
 
@@ -11,11 +11,14 @@
 #include <memory>
 #include <vector>
 
+#include "src/baselines/eventual_dc.h"
 #include "src/common/dc_set.h"
 #include "src/core/label.h"
 #include "src/core/oracle.h"
 #include "src/kvstore/partitioned_store.h"
+#include "src/saturn/reliable_link.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/network.h"
 #include "src/sim/random.h"
 #include "src/stats/histogram.h"
 
@@ -209,6 +212,117 @@ void BM_OracleApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleApply)->Arg(80)->Arg(1000);
+
+// Reliable-channel maintenance ticks over a healthy window: `range(0)`
+// messages sent to a peer that never acks, across a link so slow (10^6 s one
+// way) that its base RTO never expires. Each iteration advances simulated
+// time by one 5 ms tick interval, so it times one tick — the timer event
+// included — finding nothing to retransmit. The metadata links cap their
+// retry timeout at 2 s, so the fixture is rebuilt (timing paused) every
+// kTicksPerFixture ticks, before its window could come due.
+constexpr SimTime kTickInterval = Millis(5);
+constexpr int kTicksPerFixture = 256;
+
+LatencyMatrix SlowPair() {
+  LatencyMatrix m(2);
+  m.Set(0, 1, Seconds(1000000));
+  return m;
+}
+
+class SilentPeer : public Actor {
+ public:
+  void HandleMessage(NodeId, const Message&) override {}
+};
+
+// SendBulk is protected; this datacenter fills its window towards dc 1.
+class BulkWindowDc : public EventualDc {
+ public:
+  using EventualDc::EventualDc;
+  void Fill(int64_t count) {
+    for (int64_t i = 0; i < count; ++i) {
+      BulkHeartbeat hb;
+      hb.origin = id();
+      hb.ts = i;
+      SendBulk(1, hb);
+    }
+  }
+};
+
+struct BulkTickFixture {
+  explicit BulkTickFixture(int64_t window)
+      : net(&sim, SlowPair()),
+        dc(&sim, &net, DatacenterConfig{}, 2, [](KeyId) { return DcSet::FirstN(2); }, nullptr,
+           nullptr) {
+    net.Attach(&dc, 0);
+    net.Attach(&peer, 1);
+    dc.RegisterPeer(1, peer.node_id());
+    dc.Fill(window);
+  }
+  uint64_t retransmissions() const { return dc.bulk_retransmissions(); }
+
+  Simulator sim;
+  Network net;
+  BulkWindowDc dc;
+  SilentPeer peer;
+};
+
+class LinkOwner : public Actor {
+ public:
+  LinkOwner(Simulator* sim, Network* net)
+      : links_(sim, net, this, [](NodeId, const LabelEnvelope&) {}) {}
+  void HandleMessage(NodeId, const Message&) override {}
+  ReliableLinks& links() { return links_; }
+  const ReliableLinks& links() const { return links_; }
+
+ private:
+  ReliableLinks links_;
+};
+
+struct LinkTickFixture {
+  explicit LinkTickFixture(int64_t window) : net(&sim, SlowPair()), owner(&sim, &net) {
+    net.Attach(&owner, 0);
+    net.Attach(&peer, 1);
+    for (int64_t i = 0; i < window; ++i) {
+      LabelEnvelope env;
+      env.label.ts = i;
+      env.label.uid = static_cast<uint64_t>(i + 1);
+      env.interest = DcSet::Single(1);
+      owner.links().Send(peer.node_id(), env);
+    }
+  }
+  uint64_t retransmissions() const { return owner.links().retransmissions(); }
+
+  Simulator sim;
+  Network net;
+  LinkOwner owner;
+  SilentPeer peer;
+};
+
+template <typename Fixture>
+void RunHealthyTicks(benchmark::State& state) {
+  std::unique_ptr<Fixture> fixture;
+  int ticks = kTicksPerFixture;
+  for (auto _ : state) {
+    if (ticks == kTicksPerFixture) {
+      state.PauseTiming();
+      if (fixture != nullptr && fixture->retransmissions() != 0) {
+        state.SkipWithError("window was not healthy: a message was retransmitted");
+        break;
+      }
+      fixture = std::make_unique<Fixture>(state.range(0));
+      ticks = 0;
+      state.ResumeTiming();
+    }
+    fixture->sim.RunUntil(fixture->sim.Now() + kTickInterval);
+    ++ticks;
+  }
+}
+
+void BM_BulkChannelTick(benchmark::State& state) { RunHealthyTicks<BulkTickFixture>(state); }
+BENCHMARK(BM_BulkChannelTick)->Arg(64)->Arg(1024);
+
+void BM_ReliableLinksTick(benchmark::State& state) { RunHealthyTicks<LinkTickFixture>(state); }
+BENCHMARK(BM_ReliableLinksTick)->Arg(64)->Arg(1024);
 
 }  // namespace
 }  // namespace saturn

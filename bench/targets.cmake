@@ -25,6 +25,9 @@ endforeach()
 add_executable(micro_core ${CMAKE_SOURCE_DIR}/bench/micro_core.cc)
 target_link_libraries(micro_core saturn benchmark::benchmark)
 set_target_properties(micro_core PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+# Runs every micro-bench briefly so none of them can rot unbuilt or crash
+# unnoticed; the timings it prints are not judged.
+add_test(NAME micro_core_smoke COMMAND micro_core --benchmark_min_time=0.01)
 
 # Simulation-core perf harness (see bench/perf_sim.cc). The default build is
 # RelWithDebInfo (-O2), so tier-1 exercises optimized code; the smoke run in

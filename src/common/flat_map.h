@@ -212,13 +212,20 @@ class FlatMap {
   size_t used_ = 0;  // live + tombstones
 };
 
+// Default FlatSet hash: integral-sized keys, splitmix64-mixed.
+template <typename K>
+struct FlatHash {
+  static_assert(sizeof(K) <= sizeof(uint64_t), "FlatHash keys must be integral-sized");
+  uint64_t operator()(const K& key) const { return HashMix64(static_cast<uint64_t>(key)); }
+};
+
 // Open-addressed set with the same layout and growth policy as FlatMap, for
 // the membership-only hot paths (applied-update dedup, client causal
-// contexts). No tombstones: none of those callers erase individual keys.
-template <typename K>
+// contexts, delivered migration labels). Wider keys bring their own `Hash`
+// (a callable returning a well-mixed uint64_t). No tombstones: none of
+// those callers erase individual keys.
+template <typename K, typename Hash = FlatHash<K>>
 class FlatSet {
-  static_assert(sizeof(K) <= sizeof(uint64_t), "FlatSet keys must be integral-sized");
-
  public:
   FlatSet() = default;
 
@@ -266,7 +273,7 @@ class FlatSet {
  private:
   size_t FindSlot(const K& key) const {
     size_t mask = states_.size() - 1;
-    size_t slot = HashMix64(static_cast<uint64_t>(key)) & mask;
+    size_t slot = Hash{}(key) & mask;
     while (states_[slot] != 0 && !(keys_[slot] == key)) {
       slot = (slot + 1) & mask;
     }
@@ -291,7 +298,7 @@ class FlatSet {
       if (old_states[i] == 0) {
         continue;
       }
-      size_t slot = HashMix64(static_cast<uint64_t>(old_keys[i])) & mask;
+      size_t slot = Hash{}(old_keys[i]) & mask;
       while (states_[slot] != 0) {
         slot = (slot + 1) & mask;
       }

@@ -10,9 +10,11 @@
 // zero steady-state allocations: the std::maps this shape originally used
 // paid an allocation and a tree rebalance per message, and the std::deque
 // that replaced them still paid one block allocation per handful of entries
-// once messages carried their metadata inline. Iteration (retransmission
-// scans) is in ascending sequence order by construction, preserving the
-// deterministic send order the fingerprint tests rely on.
+// once messages carried their metadata inline. Iteration is in ascending
+// sequence order by construction, preserving the deterministic send order
+// the fingerprint tests rely on. The channels' retransmission walks iterate
+// only when an entry can be due: each keeps a lower bound on its window's
+// send times and skips the walk while that bound is younger than the RTO.
 #ifndef SRC_COMMON_SEQ_WINDOW_H_
 #define SRC_COMMON_SEQ_WINDOW_H_
 

@@ -1,5 +1,6 @@
 #include "src/core/datacenter.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace saturn {
@@ -302,6 +303,9 @@ void DatacenterBase::SendBulk(DcId dest, Message msg) {
     SAT_CHECK(false);  // only payloads and heartbeats ride the bulk channel
   }
   // The window keeps the retransmission copy; the original moves to the wire.
+  if (peer.unacked.empty()) {
+    peer.oldest_sent = sim_->Now();
+  }
   peer.unacked.Push(seq, BulkOutEntry{msg, sim_->Now()});
   net_->Send(node_id(), peer_nodes_[dest], std::move(msg));
   ScheduleBulkTick();
@@ -396,17 +400,30 @@ void DatacenterBase::BulkChannelTick() {
     if (peer.next_in - 1 > peer.acked_in) {
       SendBulkAck(dc);
     }
+    if (peer.unacked.empty()) {
+      continue;
+    }
+    // The RTO is read at every tick, so a drift that shortens it is honoured
+    // on the next tick. While even the oldest transmission is younger than
+    // it, nothing in the window is due and the walk would send nothing.
     SimTime rto = BulkRto(dc);
+    if (now - peer.oldest_sent < rto) {
+      continue;
+    }
+    SimTime oldest = now;
     peer.unacked.ForEach([&](uint64_t seq, BulkOutEntry& entry) {
       if (now - entry.sent_at >= rto) {
         entry.sent_at = now;
+        ++bulk_retransmissions_;
         if (trace_ != nullptr) {
           trace_->Instant(now, trace_track_, "bulk.retransmit", nullptr, dc,
                           static_cast<int64_t>(seq));
         }
         net_->Send(node_id(), peer_nodes_[dc], entry.msg);
       }
+      oldest = std::min(oldest, entry.sent_at);
     });
+    peer.oldest_sent = oldest;
   }
 }
 

@@ -109,6 +109,9 @@ class DatacenterBase : public Actor {
     trace_track_ = track;
   }
 
+  // Bulk-channel messages resent after their RTO expired (diagnostics).
+  uint64_t bulk_retransmissions() const { return bulk_retransmissions_; }
+
  protected:
   // --- Protocol hooks ----------------------------------------------------
 
@@ -252,6 +255,12 @@ class DatacenterBase : public Actor {
   struct BulkPeerState {
     uint64_t next_out = 1;                 // next sequence number to assign
     SeqWindow<BulkOutEntry> unacked;       // contiguous [acked+1, next_out)
+    // Lower bound on every `unacked` entry's sent_at (meaningless when the
+    // window is empty): set by the push that opens an empty window, made
+    // exact by each retransmission walk, and left stale — still a lower
+    // bound — when an ack retires entries. The channel tick skips the walk
+    // while now - oldest_sent < RTO, since then no entry can be due.
+    SimTime oldest_sent = 0;
     uint64_t next_in = 1;                  // next sequence expected from the peer
     uint64_t acked_in = 0;                 // highest in-seq we have acked back
     FlatMap<uint64_t, Message> reorder;    // arrived ahead of a gap
@@ -274,6 +283,7 @@ class DatacenterBase : public Actor {
   SimTime BulkRto(DcId dest) const;
 
   std::vector<BulkPeerState> bulk_peers_;  // indexed by DcId
+  uint64_t bulk_retransmissions_ = 0;
   LazyTimer bulk_tick_;
   std::vector<std::unique_ptr<PeriodicTimer>> periodic_;  // EveryInterval handles
 };

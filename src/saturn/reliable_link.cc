@@ -1,5 +1,6 @@
 #include "src/saturn/reliable_link.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/inline_vec.h"
@@ -56,6 +57,9 @@ void ReliableLinks::Send(NodeId to, LabelEnvelope env) {
   env.link_seq = seq;
   // Move the envelope straight into the (ring-backed) retransmit window; the
   // wire copy in Transmit reads from the stored entry.
+  if (out.unacked.empty()) {
+    out.oldest_sent = kSimTimeNever;  // nothing transmitted is left unacked
+  }
   out.unacked.Push(seq, OutEntry{std::move(env), 0});
   if (!batch_.enabled()) {
     Transmit(to, &out, seq);
@@ -77,10 +81,15 @@ void ReliableLinks::Send(NodeId to, LabelEnvelope env) {
   ScheduleTick();
 }
 
+void ReliableLinks::MarkSent(OutChannel* out, OutEntry* entry) {
+  entry->sent_at = sim_->Now();
+  ++entry->attempts;
+  out->oldest_sent = std::min(out->oldest_sent, entry->sent_at);
+}
+
 void ReliableLinks::Transmit(NodeId to, OutChannel* out, uint64_t seq) {
   OutEntry& entry = out->unacked.At(seq);
-  entry.sent_at = sim_->Now();
-  ++entry.attempts;
+  MarkSent(out, &entry);
   if (out->delay > 0) {
     // Artificial edge delay (section 5.4): constant per directed edge, so it
     // shifts but never reorders transmissions.
@@ -112,9 +121,7 @@ void ReliableLinks::FlushBatch(NodeId to, OutChannel* out) {
   }
   SimTime now = sim_->Now();
   for (uint64_t seq = batch.first_seq; seq < batch.first_seq + batch.count; ++seq) {
-    OutEntry& entry = out->unacked.At(seq);
-    entry.sent_at = now;
-    ++entry.attempts;
+    MarkSent(out, &out->unacked.At(seq));
   }
   if (trace_ != nullptr) {
     trace_->Hop(now, trace_track_, "batch.flush", 0, static_cast<int64_t>(batch.count),
@@ -271,19 +278,33 @@ void ReliableLinks::Tick() {
     in.ack_owed = false;
   }
   for (auto& [peer, out] : out_) {
+    if (out.unacked.empty()) {
+      continue;
+    }
+    // RetryTimeout is never below min(base RTO, kMaxRetryTimeout): backoff
+    // and jitter only lengthen it. While the oldest transmission is younger
+    // than that, no entry is due and the walk would send nothing. The base
+    // RTO is read at every tick, so a drift that shortens it is honoured.
+    SimTime base_rto = Rto(peer, out);
+    if (now - out.oldest_sent < std::min(base_rto, kMaxRetryTimeout)) {
+      continue;
+    }
     if (batch_.enabled()) {
-      RetransmitDueCoalesced(peer, &out, now);
+      RetransmitDueCoalesced(peer, &out, now, base_rto);
     } else {
-      RetransmitDue(peer, &out, now);
+      RetransmitDue(peer, &out, now, base_rto);
     }
   }
 }
 
-void ReliableLinks::RetransmitDue(NodeId to, OutChannel* out, SimTime now) {
-  SimTime base_rto = Rto(to, *out);
-  OutChannel* channel = out;
+void ReliableLinks::RetransmitDue(NodeId to, OutChannel* out, SimTime now, SimTime base_rto) {
+  // Recompute the bound exactly: entries left alone keep their sent_at,
+  // resent ones lower it to now through Transmit.
+  out->oldest_sent = kSimTimeNever;
   out->unacked.ForEach([&](uint64_t seq, OutEntry& entry) {
-    if (now - entry.sent_at >= RetryTimeout(base_rto, entry, to, seq)) {
+    if (now - entry.sent_at < RetryTimeout(base_rto, entry, to, seq)) {
+      out->oldest_sent = std::min(out->oldest_sent, entry.sent_at);
+    } else {
       ++retransmissions_;
       if (entry.attempts >= 2) {
         ++retransmit_storms_;
@@ -292,25 +313,30 @@ void ReliableLinks::RetransmitDue(NodeId to, OutChannel* out, SimTime now) {
         trace_->Instant(now, trace_track_, "link.retransmit", nullptr, to,
                         static_cast<int64_t>(seq));
       }
-      Transmit(to, channel, seq);
+      Transmit(to, out, seq);
     }
   });
 }
 
-void ReliableLinks::RetransmitDueCoalesced(NodeId to, OutChannel* out, SimTime now) {
-  SimTime base_rto = Rto(to, *out);
+void ReliableLinks::RetransmitDueCoalesced(NodeId to, OutChannel* out, SimTime now,
+                                           SimTime base_rto) {
   // Collect due sequence numbers first (ascending, from ForEach), then resend
   // contiguous runs as single re-encoded batch frames instead of one frame
   // per envelope — an RTO on a batched link re-sends the window, and without
   // coalescing that resend would undo the batching win exactly when the link
   // is already struggling.
+  // The bound is recomputed over the entries that stay put; the resends
+  // below lower it to now through MarkSent.
   InlineVec<uint64_t, 64> due;
+  out->oldest_sent = kSimTimeNever;
   out->unacked.ForEach([&](uint64_t seq, OutEntry& entry) {
     if (entry.attempts == 0) {
       return;  // still pending in the open batch: never transmitted yet
     }
     if (now - entry.sent_at >= RetryTimeout(base_rto, entry, to, seq)) {
       due.push_back(seq);
+    } else {
+      out->oldest_sent = std::min(out->oldest_sent, entry.sent_at);
     }
   });
   size_t i = 0;
@@ -341,8 +367,7 @@ void ReliableLinks::RetransmitDueCoalesced(NodeId to, OutChannel* out, SimTime n
       for (uint64_t seq = due[i]; seq < due[i] + run; ++seq) {
         OutEntry& entry = out->unacked.At(seq);
         enc.Add(entry.env);
-        entry.sent_at = now;
-        ++entry.attempts;
+        MarkSent(out, &entry);
         ++retransmissions_;
         if (entry.attempts >= 3) {  // attempts was >= 2 before this resend
           ++retransmit_storms_;

@@ -122,6 +122,14 @@ class ReliableLinks {
     LabelBatchEncoder pending;
     uint64_t pending_first = 0;
     SimTime flush_at = kSimTimeNever;
+    // Lower bound on sent_at over the *transmitted* entries of `unacked`
+    // (attempts > 0; kSimTimeNever when there are none): reset when a Send
+    // opens an empty window, lowered by every transmission, made exact by
+    // each retransmission walk, left stale — still a lower bound — when an
+    // ack retires entries. The tick skips the walk while now - oldest_sent
+    // is below min(base RTO, kMaxRetryTimeout), the least RetryTimeout can
+    // return (backoff and jitter only lengthen it), so no entry can be due.
+    SimTime oldest_sent = kSimTimeNever;
   };
   struct InChannel {
     uint64_t next_in = 1;
@@ -130,6 +138,8 @@ class ReliableLinks {
   };
 
   void Transmit(NodeId to, OutChannel* out, uint64_t seq);
+  // Stamps `entry` as (re)transmitted now: sent_at, attempts, oldest_sent.
+  void MarkSent(OutChannel* out, OutEntry* entry);
   void FlushBatch(NodeId to, OutChannel* out);
   void FlushDueBatches();
   void SendBatchFrame(NodeId to, const OutChannel& out, LabelBatch batch);
@@ -139,8 +149,8 @@ class ReliableLinks {
   bool WorkPending() const;
   void ScheduleTick();
   void Tick();
-  void RetransmitDue(NodeId to, OutChannel* out, SimTime now);
-  void RetransmitDueCoalesced(NodeId to, OutChannel* out, SimTime now);
+  void RetransmitDue(NodeId to, OutChannel* out, SimTime now, SimTime base_rto);
+  void RetransmitDueCoalesced(NodeId to, OutChannel* out, SimTime now, SimTime base_rto);
 
   Simulator* sim_;
   Network* net_;

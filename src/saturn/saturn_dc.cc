@@ -483,7 +483,8 @@ void SaturnDc::ProcessStreamLabel(const LabelEnvelope& env) {
       break;  // progress bookkeeping happens in PumpStream
     case LabelType::kMigration:
       if (l.target_dc == config_.id) {
-        completed_migrations_.insert(KeyOf(l));
+        completed_migrations_.Insert(KeyOf(l));
+        migration_delivered_ = true;
       }
       break;
     case LabelType::kEpochChange:
@@ -684,7 +685,7 @@ bool SaturnDc::WaiterReady(const ClientRequest& req) const {
     return true;
   }
   if (l.type == LabelType::kMigration) {
-    if (l.target_dc == config_.id && completed_migrations_.count(KeyOf(l)) != 0) {
+    if (l.target_dc == config_.id && completed_migrations_.Contains(KeyOf(l))) {
       return true;
     }
     if (!ts_mode_) {
@@ -693,22 +694,19 @@ bool SaturnDc::WaiterReady(const ClientRequest& req) const {
       // remote stream has passed the label's timestamp AND the bulk channel
       // is stable past it: together these bound the orphan-repair drain, so
       // everything the label dominates is already visible here.
-      if (TimestampStable() < l.ts) {
-        return false;
-      }
-      for (DcId dc : active_) {
-        if (dc != config_.id && stream_progress_[dc] < l.ts) {
-          return false;
-        }
-      }
-      return true;
+      return l.ts <= std::min(TimestampStable(), MinRemoteStreamProgress());
     }
     // In fallback the timestamp condition below covers migrations too.
   }
+  return l.ts <= AttachReleaseBound();
+}
+
+int64_t SaturnDc::AttachReleaseBound() const {
   // Update label (or migration under fallback): wait until a label with an
   // equal or greater timestamp has been processed from every remote DC. The
   // bulk-channel stability bound only counts while in timestamp mode, where
-  // stable updates are actually applied.
+  // stable updates are actually applied. Outside it this bound also covers
+  // the lost-migration-label rule, min(TimestampStable, stream progress).
   int64_t stream_bound = MinRemoteStreamProgress();
   if (config_.sharded_gears) {
     // A sharded origin's stream is causality-compliant but not
@@ -719,8 +717,7 @@ bool SaturnDc::WaiterReady(const ClientRequest& req) const {
     // arrived payload up to l.ts.
     stream_bound = std::min(stream_bound, TimestampStable());
   }
-  int64_t ts_stable = ts_mode_ ? TimestampStable() : -1;
-  return l.ts <= stream_bound || l.ts <= ts_stable;
+  return ts_mode_ ? std::max(stream_bound, TimestampStable()) : stream_bound;
 }
 
 void SaturnDc::CompleteWaiter(NodeId from, const ClientRequest& req) {
@@ -732,16 +729,24 @@ void SaturnDc::CompleteWaiter(NodeId from, const ClientRequest& req) {
 }
 
 void SaturnDc::CheckAttachWaiters() {
-  if (waiters_.empty()) {
+  // This runs after every pump and drain. Every parked waiter was not ready
+  // when last tested, so one can have turned ready only through a migration
+  // label delivered since, or by its timestamp now being within the release
+  // bound; when neither holds, the walk below would release nothing.
+  if (waiters_.empty() ||
+      (!migration_delivered_ && min_waiter_ts_ > AttachReleaseBound())) {
     return;
   }
+  migration_delivered_ = false;
   // Stable in-place compaction: completion order matches arrival order and no
-  // per-check allocation (this runs after every pump/drain).
+  // per-check allocation.
   size_t keep = 0;
+  int64_t min_ts = kSimTimeNever;
   for (size_t i = 0; i < waiters_.size(); ++i) {
     if (WaiterReady(waiters_[i].req)) {
       CompleteWaiter(waiters_[i].from, waiters_[i].req);
     } else {
+      min_ts = std::min(min_ts, waiters_[i].req.client_label.ts);
       if (keep != i) {
         waiters_[keep] = std::move(waiters_[i]);
       }
@@ -749,6 +754,7 @@ void SaturnDc::CheckAttachWaiters() {
     }
   }
   waiters_.resize(keep);
+  min_waiter_ts_ = min_ts;
 }
 
 void SaturnDc::HandleAttach(NodeId from, const ClientRequest& req) {
@@ -757,6 +763,7 @@ void SaturnDc::HandleAttach(NodeId from, const ClientRequest& req) {
     return;
   }
   waiters_.push_back(AttachWaiter{from, req});
+  min_waiter_ts_ = std::min(min_waiter_ts_, req.client_label.ts);
 }
 
 void SaturnDc::HandleMigrate(NodeId from, const ClientRequest& req) {

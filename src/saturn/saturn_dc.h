@@ -24,7 +24,7 @@
 
 #include <functional>
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -166,6 +166,11 @@ class SaturnDc : public DatacenterBase {
   using LabelKey = std::pair<SourceId, int64_t>;
 
   static LabelKey KeyOf(const Label& label) { return {label.src, label.ts}; }
+  struct LabelKeyHash {
+    uint64_t operator()(const LabelKey& key) const {
+      return HashMix64(HashMix64(static_cast<uint64_t>(key.second)) ^ key.first);
+    }
+  };
 
   struct AttachWaiter {
     NodeId from;
@@ -199,6 +204,10 @@ class SaturnDc : public DatacenterBase {
   void ApplyOrdered(const RemotePayload& payload);
   void CheckAttachWaiters();
   bool WaiterReady(const ClientRequest& req) const;
+  // Greatest client-label timestamp an attach is admitted at in the current
+  // mode without its migration label: every timestamp condition WaiterReady
+  // tests is `ts <= bound` for a bound no greater than this one.
+  int64_t AttachReleaseBound() const;
   void CompleteWaiter(NodeId from, const ClientRequest& req);
   void NoteBulkProgress(DcId origin, uint32_t gear, int64_t ts);
 
@@ -313,9 +322,18 @@ class SaturnDc : public DatacenterBase {
   // heard from). Empty when sharding is off.
   std::vector<int64_t> sharded_gear_floor_;
 
-  // Attach/migration bookkeeping.
+  // Attach/migration bookkeeping. A parked waiter can turn ready only when
+  // a migration label aimed here is delivered or when its timestamp falls
+  // within AttachReleaseBound(), so CheckAttachWaiters walks the list only
+  // then: `min_waiter_ts_` is the lowest parked client-label timestamp
+  // (exact after every walk, lowered on each park) and `migration_delivered_`
+  // records a delivery since the last walk.
   std::vector<AttachWaiter> waiters_;
-  std::set<LabelKey> completed_migrations_;
+  int64_t min_waiter_ts_ = kSimTimeNever;
+  bool migration_delivered_ = false;
+  // Delivered migration labels aimed here, never erased: nothing proves a
+  // key is looked up by one attach only.
+  FlatSet<LabelKey, LabelKeyHash> completed_migrations_;
 };
 
 }  // namespace saturn

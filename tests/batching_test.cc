@@ -18,12 +18,13 @@ namespace {
 
 // A node whose only job is to own one end of a reliable link set: received
 // frames are fed back through the links (dedup / reorder / ack), deliveries
-// are recorded.
+// are recorded with their simulated time.
 class LinkEndpoint : public Actor {
  public:
   LinkEndpoint(Simulator* sim, Network* net)
-      : links_(sim, net, this, [this](NodeId, const LabelEnvelope& env) {
+      : links_(sim, net, this, [this, sim](NodeId, const LabelEnvelope& env) {
           delivered.push_back(env);
+          delivered_at.push_back(sim->Now());
         }) {}
 
   void HandleMessage(NodeId from, const Message& msg) override {
@@ -38,6 +39,7 @@ class LinkEndpoint : public Actor {
 
   ReliableLinks& links() { return links_; }
   std::vector<LabelEnvelope> delivered;
+  std::vector<SimTime> delivered_at;
 
  private:
   ReliableLinks links_;
@@ -225,6 +227,147 @@ TEST(Batching, RetransmitCoalescedStaysZeroWithoutBatching) {
   ExpectInOrder(receiver.delivered, 10);
   EXPECT_GE(sender.links().retransmissions(), 10u);
   EXPECT_EQ(sender.links().retransmit_coalesced(), 0u);
+}
+
+// Retransmission timing. The tick skips its window walk while the oldest
+// unacked transmission is younger than the least possible retry timeout;
+// these scenarios pin the instants at which the full walk, run on every
+// tick, resends (the delivery times below were measured with that walk), so
+// a bound that is ever too high shows up as a late delivery.
+struct TimingScenario {
+  LinkBatchConfig batch;
+  SimTime one_way = Millis(10);
+  std::vector<SimTime> send_at;  // one envelope per entry, in order
+  SimTime cut_at = 0;            // lossy cut of the link over [cut_at, heal_at)
+  SimTime heal_at = 0;
+  SimTime drift_at = -1;         // when >= 0, the one-way latency becomes...
+  SimTime drift_to = 0;          // ...this
+};
+
+struct TimingResult {
+  std::vector<SimTime> delivered_at;
+  uint64_t retransmissions = 0;
+};
+
+TimingResult RunTiming(const TimingScenario& sc) {
+  Simulator sim;
+  LatencyMatrix matrix(2);
+  matrix.Set(0, 1, sc.one_way);
+  Network net(&sim, matrix);
+  LinkEndpoint sender(&sim, &net);
+  LinkEndpoint receiver(&sim, &net);
+  net.Attach(&sender, 0);
+  net.Attach(&receiver, 1);
+  sender.links().ConfigureBatching(sc.batch);
+  sim.At(sc.cut_at, [&]() { net.CutLink(0, 1, /*drop_messages=*/true); });
+  sim.At(sc.heal_at, [&]() { net.HealLink(0, 1); });
+  if (sc.drift_at >= 0) {
+    sim.At(sc.drift_at, [&]() { net.SetBaseLatency(0, 1, sc.drift_to); });
+  }
+  for (size_t i = 0; i < sc.send_at.size(); ++i) {
+    sim.At(sc.send_at[i], [&, i]() {
+      sender.links().Send(receiver.node_id(),
+                          Env(static_cast<int64_t>(i), 1000 + static_cast<uint64_t>(i)));
+    });
+  }
+  sim.RunAll();
+  ExpectInOrder(receiver.delivered, static_cast<int>(sc.send_at.size()));
+  return {receiver.delivered_at, sender.links().retransmissions()};
+}
+
+constexpr LinkBatchConfig kPerLabel{32, 1024, 0};
+constexpr LinkBatchConfig kBatched{32, 1024, Millis(1)};
+
+TEST(RetransmitTiming, DroppedFirstTransmissionPerLabel) {
+  TimingScenario sc;
+  sc.batch = kPerLabel;
+  sc.send_at = {Millis(1)};
+  sc.cut_at = 0;
+  sc.heal_at = Millis(20);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{81000}));
+  EXPECT_EQ(r.retransmissions, 1u);
+}
+
+TEST(RetransmitTiming, DroppedFirstTransmissionBatched) {
+  TimingScenario sc;
+  sc.batch = kBatched;
+  sc.send_at = {Millis(1), Millis(1), Millis(1)};
+  sc.cut_at = 0;
+  sc.heal_at = Millis(20);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{86000, 86000, 86000}));
+  EXPECT_EQ(r.retransmissions, 3u);
+}
+
+TEST(RetransmitTiming, EntryBehindAnAckedPrefixPerLabel) {
+  // The first envelope gets through and is acked while the second, dropped,
+  // stays in the window: the window's bound then still describes the retired
+  // first entry, and the second must be resent at its own due tick.
+  TimingScenario sc;
+  sc.batch = kPerLabel;
+  sc.send_at = {0, Millis(12)};
+  sc.cut_at = Micros(11500);  // after the first arrives, around the second
+  sc.heal_at = Micros(12500);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{10000, 95000}));
+  EXPECT_EQ(r.retransmissions, 1u);
+}
+
+TEST(RetransmitTiming, EntryBehindAnAckedPrefixBatched) {
+  TimingScenario sc;
+  sc.batch = kBatched;
+  sc.send_at = {0, Millis(12)};
+  sc.cut_at = Micros(12500);  // around the second batch's 13 ms flush
+  sc.heal_at = Micros(13500);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{11000, 100000}));
+  EXPECT_EQ(r.retransmissions, 1u);
+}
+
+TEST(RetransmitTiming, LaterSendDoesNotHideAnOlderEntry) {
+  // The first envelope is dropped; the second, sent after the heal, waits in
+  // the receiver's reorder buffer. The second send must not lift the
+  // window's bound past the first entry's send time.
+  TimingScenario sc;
+  sc.batch = kPerLabel;
+  sc.send_at = {Millis(1), Millis(30)};
+  sc.cut_at = 0;
+  sc.heal_at = Millis(20);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{81000, 81000}));
+  EXPECT_EQ(r.retransmissions, 1u);
+}
+
+TEST(RetransmitTiming, DriftThatShortensTheRtoPerLabel) {
+  // Sent into a 100 ms link (RTO 425 ms); at 50 ms the link drops to 10 ms
+  // (RTO 65 ms). The resend follows the new RTO, not the one in force when
+  // the envelope was sent.
+  TimingScenario sc;
+  sc.batch = kPerLabel;
+  sc.one_way = Millis(100);
+  sc.send_at = {Millis(1)};
+  sc.cut_at = 0;
+  sc.heal_at = Millis(20);
+  sc.drift_at = Millis(50);
+  sc.drift_to = Millis(10);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{81000}));
+  EXPECT_EQ(r.retransmissions, 1u);
+}
+
+TEST(RetransmitTiming, DriftThatShortensTheRtoBatched) {
+  TimingScenario sc;
+  sc.batch = kBatched;
+  sc.one_way = Millis(100);
+  sc.send_at = {Millis(1), Millis(1)};
+  sc.cut_at = 0;
+  sc.heal_at = Millis(20);
+  sc.drift_at = Millis(50);
+  sc.drift_to = Millis(10);
+  TimingResult r = RunTiming(sc);
+  EXPECT_EQ(r.delivered_at, (std::vector<SimTime>{86000, 86000}));
+  EXPECT_EQ(r.retransmissions, 2u);
 }
 
 TEST(Batching, OversizeBatchSpillsButStaysCorrect) {

@@ -53,6 +53,10 @@ struct ChaosVerdict {
   // Saturn only: per-DC end state.
   std::vector<bool> in_timestamp_mode;
   std::vector<uint32_t> epochs;
+  // Retransmissions over the run: metadata links (datacenters and
+  // serializers; Saturn only) and bulk channels (every datacenter).
+  uint64_t link_retransmissions = 0;
+  uint64_t bulk_retransmissions = 0;
 
   // Canonical one-line form; used by the cross-jobs determinism check.
   std::string ToString() const {
@@ -117,7 +121,14 @@ ChaosVerdict RunChaosSim(const ChaosCase& c) {
     for (DcId dc = 0; dc < 3; ++dc) {
       v.in_timestamp_mode.push_back(cluster.saturn_dc(dc)->in_timestamp_mode());
       v.epochs.push_back(cluster.saturn_dc(dc)->current_epoch());
+      v.link_retransmissions += cluster.saturn_dc(dc)->link_retransmissions();
     }
+    for (Serializer* s : cluster.metadata_service()->AllSerializers()) {
+      v.link_retransmissions += s->link_retransmissions();
+    }
+  }
+  for (DcId dc = 0; dc < 3; ++dc) {
+    v.bulk_retransmissions += cluster.dc(dc)->bulk_retransmissions();
   }
   return v;
 }
@@ -177,6 +188,49 @@ TEST(ChaosProperty, SaturnPartialReplicationSurvivesChaos) {
     c.tree_kill_percent = 0;  // keep the tree; link faults are the story here
   }
   RunChaosSweep(cases);
+}
+
+TEST(ChaosProperty, RetransmissionCountsArePinned) {
+  // The channel ticks skip their window walks only when no entry can be due,
+  // so every retransmission happens exactly as with a walk on every tick.
+  // The counts below were measured with that every-tick walk.
+  struct Pinned {
+    Protocol protocol;
+    uint64_t seed;
+    bool partial;
+    uint64_t link;
+    uint64_t bulk;
+  };
+  const std::vector<Pinned> pinned = {
+      {Protocol::kSaturn, 1, false, 6084, 5222},   {Protocol::kSaturn, 2, false, 2138, 1700},
+      {Protocol::kSaturn, 3, false, 13932, 1271},  {Protocol::kSaturn, 4, false, 4759, 3310},
+      {Protocol::kSaturn, 5, false, 0, 2535},      {Protocol::kSaturn, 6, false, 14587, 2226},
+      {Protocol::kSaturn, 101, true, 6060, 4439},  {Protocol::kSaturn, 102, true, 3331, 1361},
+      {Protocol::kSaturn, 103, true, 11059, 5616}, {Protocol::kGentleRain, 1, false, 0, 4050},
+      {Protocol::kGentleRain, 2, false, 0, 6763},  {Protocol::kCure, 1, false, 0, 4085},
+      {Protocol::kCure, 2, false, 0, 6734},
+  };
+  std::vector<ChaosCase> cases;
+  for (const Pinned& p : pinned) {
+    ChaosCase c;
+    c.protocol = p.protocol;
+    c.seed = p.seed;
+    c.partial_replication = p.partial;
+    c.tree_kill_percent = p.partial ? 0 : 30;
+    cases.push_back(c);
+  }
+  std::vector<ChaosVerdict> verdicts = ParallelSweep(cases, ResolveJobs(), RunChaosSim);
+  uint64_t link_total = 0;
+  uint64_t bulk_total = 0;
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(verdicts[i].link_retransmissions, pinned[i].link) << verdicts[i].context;
+    EXPECT_EQ(verdicts[i].bulk_retransmissions, pinned[i].bulk) << verdicts[i].context;
+    link_total += verdicts[i].link_retransmissions;
+    bulk_total += verdicts[i].bulk_retransmissions;
+  }
+  // The pinned cases do exercise both channels' retransmission paths.
+  EXPECT_GT(link_total, 0u);
+  EXPECT_GT(bulk_total, 0u);
 }
 
 TEST(ChaosProperty, VerdictsAreIdenticalAcrossJobCounts) {

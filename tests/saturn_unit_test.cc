@@ -220,5 +220,77 @@ TEST_F(SaturnUnitTest, MigrationLabelUnblocksAttach) {
   EXPECT_EQ(client_.responses[0].request_id, 77u);
 }
 
+TEST_F(SaturnUnitTest, OnePumpReleasesParkedWaitersInArrivalOrder) {
+  // Three attaches carrying dc1 update labels park until dc1's stream passes
+  // their timestamps; a fourth waits for a later label. One stream label
+  // releases the first three, which complete in arrival order (not timestamp
+  // order), and the fourth stays parked until its own bound arrives.
+  auto attach = [&](int64_t ts, uint64_t request_id) {
+    ClientRequest req;
+    req.op = ClientOpType::kAttach;
+    req.client = 2;
+    req.client_label = Label{LabelType::kUpdate, MakeSourceId(1, 0), ts, 0, kInvalidDc, 0};
+    req.request_id = request_id;
+    net_.Send(client_.node_id(), dc_.node_id(), req);
+  };
+  auto stream_heartbeat = [&](int64_t ts) {
+    LabelEnvelope env;
+    env.label = Label{LabelType::kHeartbeat, MakeSourceId(1, 0), ts, 0, kInvalidDc, 0};
+    env.interest = DcSet::Single(0);
+    net_.Send(serializer_.node_id(), dc_.node_id(), env);
+  };
+  attach(300, 11);
+  attach(100, 12);
+  attach(900, 13);
+  attach(200, 14);
+  sim_.RunUntil(Millis(5));
+  ASSERT_TRUE(client_.responses.empty()) << "attach completed before dc1's stream passed it";
+
+  stream_heartbeat(400);
+  sim_.RunUntil(Millis(10));
+  ASSERT_EQ(client_.responses.size(), 3u);
+  EXPECT_EQ(client_.responses[0].request_id, 11u);
+  EXPECT_EQ(client_.responses[1].request_id, 12u);
+  EXPECT_EQ(client_.responses[2].request_id, 14u);
+
+  stream_heartbeat(899);
+  sim_.RunUntil(Millis(15));
+  EXPECT_EQ(client_.responses.size(), 3u) << "released below its timestamp";
+  stream_heartbeat(900);
+  sim_.RunUntil(Millis(20));
+  ASSERT_EQ(client_.responses.size(), 4u);
+  EXPECT_EQ(client_.responses[3].request_id, 13u);
+}
+
+TEST_F(SaturnUnitTest, MigrationLabelReleasesWaiterAboveTheStreamBound) {
+  // The migration label's delivery alone releases its attach: no bulk
+  // heartbeat from dc1 ever arrives, so no timestamp bound admits it. An
+  // update-label attach parked beside it, above dc1's stream progress (the
+  // migration label's 700), keeps waiting.
+  Label migration{LabelType::kMigration, MakeSourceId(1, 0), 700, 0, /*target_dc=*/0, 903};
+  ClientRequest update_attach;
+  update_attach.op = ClientOpType::kAttach;
+  update_attach.client = 3;
+  update_attach.client_label = Label{LabelType::kUpdate, MakeSourceId(1, 1), 800, 0, kInvalidDc, 0};
+  update_attach.request_id = 78;
+  net_.Send(client_.node_id(), dc_.node_id(), update_attach);
+  ClientRequest attach;
+  attach.op = ClientOpType::kAttach;
+  attach.client = 2;
+  attach.client_label = migration;
+  attach.request_id = 77;
+  net_.Send(client_.node_id(), dc_.node_id(), attach);
+  sim_.RunUntil(Millis(5));
+  ASSERT_TRUE(client_.responses.empty());
+
+  LabelEnvelope env;
+  env.label = migration;
+  env.interest = DcSet::Single(0);
+  net_.Send(serializer_.node_id(), dc_.node_id(), env);
+  sim_.RunUntil(Millis(10));
+  ASSERT_EQ(client_.responses.size(), 1u);
+  EXPECT_EQ(client_.responses[0].request_id, 77u);
+}
+
 }  // namespace
 }  // namespace saturn

@@ -12,6 +12,7 @@
 //   saturn_sim --protocol=saturn --backup --oracle --fault-plan="1500:cut:3-5:drop;2100:heal:3-5"
 //   saturn_sim --protocol=saturn --seeds=10 --jobs=4 --csv=/tmp/vis.csv
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,9 +27,74 @@
 namespace saturn {
 namespace {
 
+// Every flag the driver reads, with the kind of value it takes. Anything
+// else on the command line is rejected: a misspelled flag must not run as
+// the defaults it meant to change.
+enum class FlagKind { kBool, kInt, kDouble, kString };
+
+const std::map<std::string, FlagKind>& KnownFlags() {
+  static const std::map<std::string, FlagKind> kFlags = {
+      {"arrival-plan", FlagKind::kString},   {"arrival-rate", FlagKind::kDouble},
+      {"attribution", FlagKind::kBool},      {"backend", FlagKind::kString},
+      {"backup", FlagKind::kBool},           {"batch-deadline", FlagKind::kInt},
+      {"batch-max-bytes", FlagKind::kInt},   {"batch-max-labels", FlagKind::kInt},
+      {"chain", FlagKind::kInt},             {"clients", FlagKind::kInt},
+      {"csv", FlagKind::kString},            {"dcs", FlagKind::kInt},
+      {"degree", FlagKind::kInt},            {"drift-plan", FlagKind::kString},
+      {"dynamic", FlagKind::kBool},          {"edges", FlagKind::kInt},
+      {"expected-keys", FlagKind::kInt},     {"fault-plan", FlagKind::kString},
+      {"gears", FlagKind::kInt},             {"help", FlagKind::kBool},
+      {"hub", FlagKind::kInt},               {"jobs", FlagKind::kInt},
+      {"join", FlagKind::kString},           {"keys", FlagKind::kInt},
+      {"leave", FlagKind::kString},          {"leave-drain", FlagKind::kInt},
+      {"max-queue", FlagKind::kInt},         {"metrics-out", FlagKind::kString},
+      {"open-loop", FlagKind::kInt},         {"oracle", FlagKind::kBool},
+      {"pattern", FlagKind::kString},        {"probe-interval", FlagKind::kInt},
+      {"protocol", FlagKind::kString},       {"prune", FlagKind::kInt},
+      {"reconfig-cooldown", FlagKind::kInt}, {"reconfig-degrade", FlagKind::kDouble},
+      {"reconfig-eval", FlagKind::kInt},     {"reconfig-hysteresis", FlagKind::kInt},
+      {"remote-reads", FlagKind::kDouble},   {"rtt-multiplier", FlagKind::kDouble},
+      {"seconds", FlagKind::kInt},           {"seed", FlagKind::kInt},
+      {"seeds", FlagKind::kInt},             {"sharded-gears", FlagKind::kBool},
+      {"static-detector", FlagKind::kBool},  {"stop-clients", FlagKind::kInt},
+      {"timeseries-out", FlagKind::kString}, {"timeseries-window", FlagKind::kInt},
+      {"trace-label", FlagKind::kInt},       {"trace-out", FlagKind::kString},
+      {"trace-ring", FlagKind::kInt},        {"tree", FlagKind::kString},
+      {"value", FlagKind::kInt},             {"warmup", FlagKind::kInt},
+      {"workers", FlagKind::kInt},           {"writes", FlagKind::kDouble},
+      {"zipf", FlagKind::kDouble},           {"zipf-sessions", FlagKind::kDouble},
+  };
+  return kFlags;
+}
+
+// Whole-string numeric parses: trailing garbage or an empty value is an error.
+bool ParseLong(const std::string& text, long* out) {
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
 
+  // Rejects unknown flags and numeric flags whose value does not parse, with
+  // a message on stderr.
   bool Parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
@@ -37,11 +103,22 @@ struct Flags {
         return false;
       }
       const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values[arg + 2] = "1";  // boolean flag
-      } else {
-        values[std::string(arg + 2, eq - arg - 2)] = eq + 1;
+      std::string name = eq == nullptr ? std::string(arg + 2) : std::string(arg + 2, eq);
+      std::string value = eq == nullptr ? "1" : std::string(eq + 1);  // bare = boolean
+      auto known = KnownFlags().find(name);
+      if (known == KnownFlags().end()) {
+        std::fprintf(stderr, "unknown flag: --%s (see --help)\n", name.c_str());
+        return false;
       }
+      long as_long = 0;
+      double as_double = 0;
+      if ((known->second == FlagKind::kInt && !ParseLong(value, &as_long)) ||
+          (known->second == FlagKind::kDouble && !ParseDouble(value, &as_double))) {
+        std::fprintf(stderr, "bad value for --%s: '%s' is not a number\n", name.c_str(),
+                     value.c_str());
+        return false;
+      }
+      values[name] = value;
     }
     return true;
   }
@@ -50,13 +127,16 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
+  // Values were validated by Parse.
   double GetDouble(const std::string& key, double fallback) const {
+    double value = fallback;
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
+    return it == values.end() || !ParseDouble(it->second, &value) ? fallback : value;
   }
   long GetInt(const std::string& key, long fallback) const {
+    long value = fallback;
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::atol(it->second.c_str());
+    return it == values.end() || !ParseLong(it->second, &value) ? fallback : value;
   }
   bool Has(const std::string& key) const { return values.count(key) != 0; }
 };
@@ -323,15 +403,18 @@ bool BuildSetup(const Flags& flags, SimSetup* setup, int* exit_code) {
     }
     std::string spec = flags.Get(kind, "");
     size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
+    long ms = 0;
+    long dc = 0;
+    if (colon == std::string::npos || !ParseLong(spec.substr(0, colon), &ms) ||
+        !ParseLong(spec.substr(colon + 1), &dc) || dc < 0) {
       std::fprintf(stderr, "--%s needs MS:DC\n", kind);
       *exit_code = 2;
       return false;
     }
     DriftEvent ev;
-    ev.at = Millis(std::atol(spec.c_str()));
+    ev.at = Millis(ms);
     ev.kind = std::strcmp(kind, "join") == 0 ? DriftKind::kJoin : DriftKind::kLeave;
-    ev.dc = static_cast<DcId>(std::atol(spec.c_str() + colon + 1));
+    ev.dc = static_cast<DcId>(dc);
     setup->drift.events.push_back(ev);
   }
   setup->drift.Normalize();
@@ -911,9 +994,12 @@ int RunSeedSweep(const Flags& flags, const SimSetup& setup, uint64_t num_seeds) 
 
 int main(int argc, char** argv) {
   saturn::Flags flags;
-  if (!flags.Parse(argc, argv) || flags.Has("help")) {
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (flags.Has("help")) {
     saturn::Usage();
-    return flags.Has("help") ? 0 : 2;
+    return 0;
   }
   saturn::SimSetup setup;
   int exit_code = 0;
